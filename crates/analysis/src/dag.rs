@@ -21,6 +21,7 @@
 //! truncation are exempt, matching how the encoder emits them).
 
 use std::fmt;
+use std::ops::Range;
 
 /// A structural defect in a plan DAG.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,6 +91,14 @@ pub enum DagError {
         /// The parent the row should point at.
         parent: usize,
     },
+    /// The number of signed adjacency rows differs from the number of
+    /// nodes.
+    RowCount {
+        /// Rows given.
+        rows: usize,
+        /// Nodes in the child lists.
+        nodes: usize,
+    },
     /// A signed adjacency entry is neither `0`, `+1` nor `−1`.
     BadEntry {
         /// Row (node) index.
@@ -136,6 +145,9 @@ impl fmt::Display for DagError {
                 f,
                 "signed adjacency row {child} is missing the -1 entry for its parent {parent}"
             ),
+            DagError::RowCount { rows, nodes } => {
+                write!(f, "{rows} signed adjacency rows for a plan of {nodes} nodes")
+            }
             DagError::BadEntry { node, col, value } => write!(
                 f,
                 "signed adjacency row {node} column {col} holds {value}, expected 0, +1 or -1"
@@ -150,80 +162,73 @@ impl std::error::Error for DagError {}
 /// duplicate-free, single-parent, and a unique root that is the last
 /// node. `children[i]` lists the ids of node `i`'s inputs.
 pub fn validate_children(children: &[Vec<usize>]) -> Result<(), DagError> {
+    parent_map(children).map(drop)
+}
+
+/// [`validate_children`], returning each node's parent on success.
+fn parent_map(children: &[Vec<usize>]) -> Result<Vec<Option<usize>>, DagError> {
     let n = children.len();
     if n == 0 {
         return Err(DagError::Empty);
     }
     let mut parent: Vec<Option<usize>> = vec![None; n];
     for (node, kids) in children.iter().enumerate() {
-        let mut seen: Vec<usize> = Vec::with_capacity(kids.len());
-        for &child in kids {
+        for (i, &child) in kids.iter().enumerate() {
             if child >= n {
                 return Err(DagError::ChildOutOfRange { node, child, len: n });
             }
             if child >= node {
                 return Err(DagError::NotTopological { node, child });
             }
-            if seen.contains(&child) {
+            if kids.iter().take(i).any(|&earlier| earlier == child) {
                 return Err(DagError::DuplicateChild { node, child });
             }
-            seen.push(child);
-            if let Some(first) = parent[child] {
-                return Err(DagError::MultipleParents { node: child, first, second: node });
+            if let Some(slot) = parent.get_mut(child) {
+                if let Some(first) = *slot {
+                    return Err(DagError::MultipleParents { node: child, first, second: node });
+                }
+                *slot = Some(node);
             }
-            parent[child] = Some(node);
         }
     }
-    let mut roots = (0..n).filter(|&i| parent[i].is_none());
-    // At least one parentless node always exists: edges only point
-    // backwards, so the last node can have no parent.
-    let root = roots
-        .next()
-        .expect("finite forward-edge-free DAG has a parentless node");
-    if let Some(second) = roots.next() {
-        return Err(DagError::MultipleRoots { first: root, second });
+    // Edges only point backwards, so the last node is always parentless
+    // and `roots` yields at least one node.
+    let mut roots = parent.iter().enumerate().filter(|(_, p)| p.is_none()).map(|(i, _)| i);
+    match (roots.next(), roots.next()) {
+        (Some(first), Some(second)) => Err(DagError::MultipleRoots { first, second }),
+        (Some(root), None) if root != n - 1 => Err(DagError::RootNotLast { root, last: n - 1 }),
+        _ => Ok(parent),
     }
-    if root != n - 1 {
-        return Err(DagError::RootNotLast { root, last: n - 1 });
-    }
-    Ok(())
 }
 
 /// Cross-checks signed adjacency rows against the child lists.
 ///
-/// `rows[i]` is node `i`'s structure row; only the first
-/// `width.min(rows[i].len())` columns are inspected (the encoder
-/// truncates plans longer than its `max_nodes` to that window, so
-/// out-of-window relations legitimately vanish). The child lists must
-/// already satisfy [`validate_children`].
-pub fn validate_signed_rows(
+/// Node `i`'s structure row is `rows[i].as_ref()[cols]`, clipped to the
+/// row's length, so the rows may be whole feature rows with the
+/// structure block at some offset, checked in place. Only that window
+/// is inspected: the encoder truncates plans longer than its
+/// `max_nodes` to it, so out-of-window relations legitimately vanish.
+/// The child lists must also satisfy [`validate_children`].
+pub fn validate_signed_rows<R: AsRef<[f32]>>(
     children: &[Vec<usize>],
-    rows: &[Vec<f32>],
-    width: usize,
+    rows: &[R],
+    cols: Range<usize>,
 ) -> Result<(), DagError> {
-    validate_children(children)?;
-    let n = children.len();
-    assert_eq!(rows.len(), n, "one signed row per node");
-
-    // Parent map (validated single-parent above).
-    let mut parent: Vec<Option<usize>> = vec![None; n];
-    for (node, kids) in children.iter().enumerate() {
-        for &c in kids {
-            parent[c] = Some(node);
-        }
+    let parent = parent_map(children)?;
+    if rows.len() != children.len() {
+        return Err(DagError::RowCount { rows: rows.len(), nodes: children.len() });
     }
+    let width = cols.len();
 
-    for (node, row) in rows.iter().enumerate() {
-        let window = width.min(row.len());
-        for (col, &v) in row.iter().take(window).enumerate() {
-            let is_child = children[node].contains(&col);
-            let is_parent = parent[node] == Some(col);
+    for ((node, row), (kids, &up)) in rows.iter().enumerate().zip(children.iter().zip(&parent)) {
+        for (col, &v) in clip(row.as_ref(), &cols).iter().enumerate() {
+            let is_child = kids.contains(&col);
             if v == 1.0 {
                 if !is_child {
                     return Err(DagError::OrphanChildEntry { node, col });
                 }
             } else if v == -1.0 {
-                if !is_parent {
+                if up != Some(col) {
                     // A -1 at a non-parent column means the rows and the
                     // child lists disagree about who points at whom.
                     return Err(DagError::OrphanChildEntry { node, col });
@@ -238,16 +243,22 @@ pub fn validate_signed_rows(
         }
         // Every +1 child entry must be mirrored by the child's -1: check
         // from the child lists so a zeroed child row is caught.
-        for &c in &children[node] {
-            if node < width && c < rows.len() {
-                let crow = &rows[c];
-                if node < crow.len() && crow[node] != -1.0 {
+        if node < width {
+            for &c in kids {
+                let entry = rows.get(c).and_then(|crow| clip(crow.as_ref(), &cols).get(node));
+                if entry.is_some_and(|&v| v != -1.0) {
                     return Err(DagError::MissingParentEntry { child: c, parent: node });
                 }
             }
         }
     }
     Ok(())
+}
+
+/// `row[cols]`, clipped to the row's length.
+fn clip<'a>(row: &'a [f32], cols: &Range<usize>) -> &'a [f32] {
+    row.get(cols.start.min(row.len())..cols.end.min(row.len()))
+        .unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -289,7 +300,7 @@ mod tests {
     fn valid_tree_passes() {
         validate_children(&valid_children()).unwrap();
         let rows = rows_for(&valid_children(), 8);
-        validate_signed_rows(&valid_children(), &rows, 8).unwrap();
+        validate_signed_rows(&valid_children(), &rows, 0..8).unwrap();
     }
 
     #[test]
@@ -364,7 +375,7 @@ mod tests {
         let mut rows = rows_for(&children, 8);
         rows[0][2] = 1.0; // claims a child it does not have
         assert_eq!(
-            validate_signed_rows(&children, &rows, 8),
+            validate_signed_rows(&children, &rows, 0..8),
             Err(DagError::OrphanChildEntry { node: 0, col: 2 })
         );
     }
@@ -375,7 +386,7 @@ mod tests {
         let mut rows = rows_for(&children, 8);
         rows[1][3] = 0.0; // child 1 forgets its parent 3
         assert_eq!(
-            validate_signed_rows(&children, &rows, 8),
+            validate_signed_rows(&children, &rows, 0..8),
             Err(DagError::MissingParentEntry { child: 1, parent: 3 })
         );
     }
@@ -386,7 +397,7 @@ mod tests {
         let mut rows = rows_for(&children, 8);
         rows[3][0] = 0.5;
         assert_eq!(
-            validate_signed_rows(&children, &rows, 8),
+            validate_signed_rows(&children, &rows, 0..8),
             Err(DagError::BadEntry { node: 3, col: 0, value: 0.5 })
         );
     }
@@ -396,7 +407,35 @@ mod tests {
         // Width-2 window: node 3's edges to 1 and 2 fall partly outside.
         let children = valid_children();
         let rows = rows_for(&children, 2);
-        validate_signed_rows(&children, &rows, 2).unwrap();
+        validate_signed_rows(&children, &rows, 0..2).unwrap();
+    }
+
+    #[test]
+    fn structure_block_is_checked_in_place_at_an_offset() {
+        // Whole feature rows: 3 leading features, the width-8 block, 2
+        // trailing ones; the check must read only the block.
+        let children = valid_children();
+        let mut rows: Vec<Vec<f32>> = rows_for(&children, 8)
+            .into_iter()
+            .map(|block| [vec![0.5; 3], block, vec![7.0; 2]].concat())
+            .collect();
+        let slices: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+        validate_signed_rows(&children, &slices, 3..11).unwrap();
+        rows[1][3 + 3] = 0.0; // child 1 forgets its parent 3
+        assert_eq!(
+            validate_signed_rows(&children, &rows, 3..11),
+            Err(DagError::MissingParentEntry { child: 1, parent: 3 })
+        );
+    }
+
+    #[test]
+    fn row_count_mismatch_is_an_error_not_a_panic() {
+        let children = valid_children();
+        let rows = rows_for(&children, 8);
+        assert_eq!(
+            validate_signed_rows(&children, &rows[..3], 0..8),
+            Err(DagError::RowCount { rows: 3, nodes: 4 })
+        );
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl fmt::Display for Violation {
 }
 
 /// Recursively collects `.rs` files under `root`, skipping build
-/// artefacts, vendored stand-ins and VCS metadata.
+/// artefacts, vendored stand-ins, VCS metadata and nested workspaces.
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     const SKIP: &[&str] = &["target", "vendor", ".git", ".claude", "results", "node_modules"];
     for entry in fs::read_dir(dir)? {
@@ -112,7 +112,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if SKIP.contains(&name.as_ref()) {
+            if SKIP.contains(&name.as_ref()) || is_own_workspace(&path) {
                 continue;
             }
             collect_rs(&path, out)?;
@@ -121,6 +121,14 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// Whether `dir` holds a `Cargo.toml` that declares its own
+/// `[workspace]`: such a package is built apart from the linted
+/// workspace, so its functions must not join the name-based call graph.
+fn is_own_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|text| text.lines().any(|line| line.trim() == "[workspace]"))
 }
 
 /// Reads every Rust source under `root` as `(relative path, text)`
@@ -665,6 +673,34 @@ pub fn apply_allowlist(violations: &[Violation], allow: &Allowlist) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn collect_sources_skips_nested_workspaces() {
+        let root = std::env::temp_dir().join(format!("raal-lint-walk-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            fs::create_dir_all(path.parent().expect("fixture path has a parent"))
+                .expect("create fixture dir");
+            fs::write(path, text).expect("write fixture file");
+        };
+        write("Cargo.toml", "[workspace]\nmembers = [\"member\"]\n");
+        write("member/Cargo.toml", "[package]\nname = \"member\"\n");
+        write("member/src/lib.rs", "pub fn kept() {}\n");
+        // A package with a workspace of its own, whatever its name.
+        write("tool/Cargo.toml", "[package]\nname = \"tool\"\n\n[workspace]\n");
+        write("tool/src/main.rs", "fn main() {}\n");
+        // `[workspace.package]` alone does not make a workspace root.
+        write("shared/Cargo.toml", "[workspace.package]\nversion = \"0.1.0\"\n");
+        write("shared/src/lib.rs", "pub fn also_kept() {}\n");
+        let paths: Vec<String> = collect_sources(&root)
+            .expect("walk fixture")
+            .into_iter()
+            .map(|(p, _)| p)
+            .collect();
+        let _ = fs::remove_dir_all(&root);
+        assert_eq!(paths, ["member/src/lib.rs", "shared/src/lib.rs"]);
+    }
 
     fn lint_str(rel: &str, src: &str) -> Vec<Violation> {
         let mut out = Vec::new();

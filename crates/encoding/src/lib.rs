@@ -12,6 +12,7 @@
 
 #![warn(missing_docs)]
 
+mod memo;
 pub mod onehot;
 pub mod plan_encoder;
 pub mod tokenizer;

@@ -12,6 +12,8 @@
 //! A full training [`Sample`] adds the normalised resource vector (Eq. 1),
 //! plan-level statistics, and the observed execution time.
 
+use crate::memo::StatementMemo;
+pub use crate::memo::MEMO_CAPACITY;
 use crate::onehot;
 use crate::tokenizer::tokenize_statement;
 use crate::word2vec::Word2Vec;
@@ -19,6 +21,7 @@ use serde::{Deserialize, Serialize};
 use sparksim::plan::physical::PhysicalOp;
 use sparksim::resource::{ClusterConfig, ResourceConfig};
 use sparksim::PhysicalPlan;
+use std::sync::Arc;
 
 /// Encoder dimensions.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -82,28 +85,26 @@ pub struct Sample {
 }
 
 /// Encodes plans into model inputs.
+///
+/// The encoder memoises each node statement's semantic block (see
+/// [`MEMO_CAPACITY`]); clones share one memo, so client threads and
+/// training encode through a common cache.
 #[derive(Debug, Clone)]
 pub struct PlanEncoder {
     w2v: Word2Vec,
     cfg: EncoderConfig,
+    memo: Arc<StatementMemo>,
 }
 
 impl PlanEncoder {
     /// Creates an encoder from a trained word2vec model.
     pub fn new(w2v: Word2Vec, cfg: EncoderConfig) -> Self {
-        Self { w2v, cfg }
+        Self { w2v, cfg, memo: Arc::new(StatementMemo::new()) }
     }
 
     /// The per-node feature width this encoder produces.
     pub fn node_dim(&self) -> usize {
-        self.w2v.dim()
-            + onehot::DIM
-            + if self.cfg.structure {
-                self.cfg.max_nodes
-            } else {
-                0
-            }
-            + NODE_STAT_FEATURES
+        self.w2v.dim() + onehot::DIM + self.structure_width() + NODE_STAT_FEATURES
     }
 
     /// The configuration in use.
@@ -116,34 +117,54 @@ impl PlanEncoder {
         &self.w2v
     }
 
+    /// Width of the structure block (0 when it is disabled).
+    fn structure_width(&self) -> usize {
+        if self.cfg.structure {
+            self.cfg.max_nodes
+        } else {
+            0
+        }
+    }
+
     /// Encodes a physical plan.
+    ///
+    /// Each row is allocated once and its blocks are written in place.
     pub fn encode(&self, plan: &PhysicalPlan) -> EncodedPlan {
         let parents = plan.parents();
         let n = plan.len();
+        let (dim, width) = (self.w2v.dim(), self.structure_width());
         let mut node_features = Vec::with_capacity(n);
         let mut children = Vec::with_capacity(n);
-        for id in 0..n {
-            let mut row = Vec::with_capacity(self.node_dim());
-            // Semantic block.
-            let tokens = tokenize_statement(&plan.statement(id));
-            row.extend(self.w2v.embed_mean(&tokens));
+        for (id, parent) in parents.iter().enumerate() {
+            let node = plan.node(id);
+            let mut row = vec![0.0f32; self.node_dim()];
+            let (semantic, rest) = row.split_at_mut(dim);
+            let (one_hot, rest) = rest.split_at_mut(onehot::DIM);
+            let (structure, stats) = rest.split_at_mut(width);
+            // Semantic block: the mean word2vec vector of the statement.
+            self.memo.embed_into(&plan.statement(id), semantic, |statement| {
+                self.w2v.embed_mean(&tokenize_statement(statement))
+            });
             // Operator one-hot block.
-            row.extend(onehot::encode_operator(plan.node(id).op.name()));
+            if let Some(slot) =
+                onehot::operator_index(node.op.name()).and_then(|i| one_hot.get_mut(i))
+            {
+                *slot = 1.0;
+            }
             // Structure block (signed degrees, truncated to max_nodes).
-            if self.cfg.structure {
-                let full = plan.structure_row(id, &parents);
-                let mut block = vec![0.0f32; self.cfg.max_nodes];
-                for (i, &v) in full.iter().take(self.cfg.max_nodes).enumerate() {
-                    block[i] = v;
+            for &c in &node.children {
+                if let Some(slot) = structure.get_mut(c) {
+                    *slot = 1.0;
                 }
-                row.extend(block);
+            }
+            if let Some(slot) = parent.and_then(|p| structure.get_mut(p)) {
+                *slot = -1.0;
             }
             // Node statistics.
-            row.push(log_norm(plan.node(id).est_rows, 12.0));
-            row.push(log_norm(plan.node(id).est_bytes, 15.0));
-            debug_assert_eq!(row.len(), self.node_dim());
+            let node_stats = [log_norm(node.est_rows, 12.0), log_norm(node.est_bytes, 15.0)];
+            stats.iter_mut().zip(node_stats).for_each(|(slot, v)| *slot = v);
             node_features.push(row);
-            children.push(plan.node(id).children.clone());
+            children.push(node.children.clone());
         }
         let encoded = EncodedPlan {
             node_features,
@@ -165,17 +186,17 @@ impl PlanEncoder {
     /// every `+1` child entry in the signed structure rows is mirrored
     /// by the child's `−1` parent entry (entries beyond the `max_nodes`
     /// truncation window are exempt, matching how they are emitted).
+    /// The structure blocks are read in place.
     pub fn validate(&self, plan: &EncodedPlan) -> Result<(), analysis::dag::DagError> {
         if !self.cfg.structure {
             return plan.validate();
         }
         let offset = self.w2v.dim() + onehot::DIM;
-        let rows: Vec<Vec<f32>> = plan
-            .node_features
-            .iter()
-            .map(|r| r[offset..offset + self.cfg.max_nodes].to_vec())
-            .collect();
-        analysis::dag::validate_signed_rows(&plan.children, &rows, self.cfg.max_nodes)
+        analysis::dag::validate_signed_rows(
+            &plan.children,
+            &plan.node_features,
+            offset..offset + self.cfg.max_nodes,
+        )
     }
 
     /// Encodes a full training sample.
@@ -197,6 +218,8 @@ impl PlanEncoder {
 /// `log10(1 + x) / denom`, clamped to [0, 1] — the normalisation used for
 /// cardinality-like features.
 pub fn log_norm(x: f64, denom: f64) -> f32 {
+    // PANIC-FREE: f64 division cannot panic (a zero denominator yields
+    // ±inf or NaN, which the clamp and cast then bound or pass on).
     (((1.0 + x.max(0.0)).log10()) / denom).clamp(0.0, 1.0) as f32
 }
 
@@ -325,6 +348,16 @@ mod tests {
         assert_eq!(e.children[0], Vec::<usize>::new());
         assert_eq!(e.children[1], vec![0]);
         assert_eq!(e.children[3], vec![2]);
+    }
+
+    #[test]
+    fn clones_share_one_statement_memo() {
+        let enc = encoder();
+        let clone = enc.clone();
+        assert_eq!(clone.encode(&plan()), enc.encode(&plan()));
+        assert!(Arc::ptr_eq(&enc.memo, &clone.memo));
+        // Four nodes, four distinct statements.
+        assert_eq!(enc.memo.len(), 4);
     }
 
     #[test]

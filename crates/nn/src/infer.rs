@@ -9,9 +9,13 @@
 //! prediction runs several times faster than the reference forward pass:
 //!
 //! * [`matmul_into`] dispatches at runtime to a register-tiled AVX2+FMA
-//!   microkernel on x86-64 (scalar branch-free loops elsewhere);
+//!   microkernel on x86-64 (scalar loops elsewhere), and both skip zero
+//!   left-hand entries, which leaves results for finite weights unchanged
+//!   (see [`matmul_into`]);
 //! * the LSTM gate activations go through [`fast_exp`], a branch-free
-//!   Cephes-style polynomial `exp` whose element loops auto-vectorise.
+//!   Cephes-style polynomial `exp` that the slice kernels evaluate eight
+//!   lanes at a time with AVX intrinsics, bit-identical to the scalar
+//!   function.
 //!
 //! Per-element accumulation *order* still matches the corresponding
 //! graph ops, so the only divergence from the tape is FMA contraction
@@ -126,6 +130,16 @@ impl InferArena {
 /// runtime) the products are contracted with fused multiply-adds, so the
 /// result can differ from the tape in the last bits (~1e-7 relative).
 /// `out` must have length `m * n`; it is overwritten.
+///
+/// Zero entries of `a` (either sign) are skipped: their `0 * b` terms
+/// are never added. For finite weights that changes nothing, because
+/// adding `±0` to an accumulator returns it unchanged unless the
+/// accumulator is `−0`, and an accumulator that starts at `+0` only
+/// becomes `−0` when a fused product underflows to zero. So skipping
+/// differs from the dense sum only for non-finite weights (`0 * ∞` is
+/// NaN) and, in that underflow case, in the sign of a zero. Sparse
+/// left-hand rows — the one-hot and structure blocks of an encoded
+/// plan, a zero LSTM state — cost only their non-zero entries.
 pub fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k, "matmul_into lhs length");
     debug_assert_eq!(b.len(), k * n, "matmul_into rhs length");
@@ -147,8 +161,9 @@ pub fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut
     matmul_into_scalar(a, m, k, b, n, out);
 }
 
-/// Portable branch-free i-k-j matmul, accumulating exactly like
-/// [`crate::tensor::Tensor::matmul`].
+/// Portable i-k-j matmul, accumulating exactly like
+/// [`crate::tensor::Tensor::matmul`] apart from the skipped zero terms
+/// (see [`matmul_into`]).
 fn matmul_into_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     out.fill(0.0);
     for i in 0..m {
@@ -159,6 +174,9 @@ fn matmul_into_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &
         let a_row = &a[i * k..(i + 1) * k];
         let o_row = &mut out[i * n..(i + 1) * n];
         for (kk, &av) in a_row.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
             let b_row = &b[kk * n..(kk + 1) * n];
             for (o, &bv) in o_row.iter_mut().zip(b_row.iter()) {
                 *o += av * bv;
@@ -217,31 +235,45 @@ pub fn sigmoid(x: f32) -> f32 {
 /// minimax polynomial for `exp(f)`, and rebuild `2^n` with exponent bit
 /// arithmetic. Rounding to the nearest integer uses the `+1.5*2^23`
 /// trick instead of `round()` (a libm call below SSE4.1), so the whole
-/// function is straight-line float ops and element loops over it
-/// auto-vectorise. Relative error is ~2e-7; the input is clamped to
-/// ±87.34, so the result saturates instead of overflowing.
+/// function is straight-line float ops, which the AVX2 slice kernels
+/// repeat eight lanes at a time. Relative error is ~2e-7; the input is
+/// clamped to ±87.34, so the result saturates instead of overflowing.
 #[inline(always)]
-#[allow(clippy::excessive_precision)] // Cephes constants kept verbatim
 pub fn fast_exp(x: f32) -> f32 {
-    const LOG2E: f32 = std::f32::consts::LOG2_E;
-    // ln(2) split hi/lo so `x - n*ln2` stays accurate (Cephes constants).
-    const LN2_HI: f32 = 0.693_359_375;
-    const LN2_LO: f32 = -2.121_944_4e-4;
-    // 1.5 * 2^23: adding then subtracting rounds to the nearest integer.
-    const RND: f32 = 12_582_912.0;
-    let x = x.clamp(-87.336_54, 87.336_54);
-    let n = (x * LOG2E + RND) - RND;
+    let x = x.clamp(-EXP_CLAMP, EXP_CLAMP);
+    let n = (x * std::f32::consts::LOG2_E + EXP_RND) - EXP_RND;
     let f = (x - n * LN2_HI) - n * LN2_LO;
-    let mut p = 1.987_569_15e-4_f32;
-    p = p * f + 1.398_199_9e-3;
-    p = p * f + 8.333_452e-3;
-    p = p * f + 4.166_579_6e-2;
-    p = p * f + 1.666_666_5e-1;
-    p = p * f + 5.000_000_2e-1;
+    let [c0, rest @ ..] = EXP_POLY;
+    let mut p = c0;
+    for c in rest {
+        p = p * f + c;
+    }
     let r = (p * f * f + f) + 1.0;
     let scale = f32::from_bits(((n as i32 + 127) as u32) << 23);
     r * scale
 }
+
+// Constants of [`fast_exp`], shared with its 8-lane twin
+// `x86::fast_exp8` so the two cannot drift apart.
+/// Input clamp: `exp(±87.34)` stays finite and normal.
+const EXP_CLAMP: f32 = 87.336_54;
+/// `ln(2)` split hi/lo so `x - n*ln2` stays accurate (Cephes constants).
+#[allow(clippy::excessive_precision)] // Cephes constant kept verbatim
+const LN2_HI: f32 = 0.693_359_375;
+#[allow(clippy::excessive_precision)] // Cephes constant kept verbatim
+const LN2_LO: f32 = -2.121_944_4e-4;
+/// 1.5 * 2^23: adding then subtracting rounds to the nearest integer.
+const EXP_RND: f32 = 12_582_912.0;
+/// Degree-5 minimax polynomial for `exp(f)`, highest power first.
+#[allow(clippy::excessive_precision)] // Cephes constants kept verbatim
+const EXP_POLY: [f32; 6] = [
+    1.987_569_15e-4,
+    1.398_199_9e-3,
+    8.333_452e-3,
+    4.166_579_6e-2,
+    1.666_666_5e-1,
+    5.000_000_2e-1,
+];
 
 /// Sigmoid via [`fast_exp`] (~1e-7 absolute error).
 #[inline(always)]
@@ -259,14 +291,15 @@ pub fn fast_tanh(x: f32) -> f32 {
 }
 
 /// In-place sigmoid over a slice using [`fast_sigmoid`], 8-wide under
-/// AVX2 where available.
+/// AVX2 where available; every element is bit-identical to
+/// [`fast_sigmoid`] either way.
 pub fn sigmoid_slice(xs: &mut [f32]) {
     let _k = telemetry::kernel_span("nn.sigmoid");
     #[cfg(target_arch = "x86_64")]
     if x86::avx2_fma_available() {
         // SAFETY: AVX2+FMA support was verified by the runtime probe on
-        // the line above — the only precondition; the body is safe slice
-        // iteration with no pointer arithmetic.
+        // the line above — the only precondition; the kernel's loads and
+        // stores stay inside `xs` by construction.
         unsafe { x86::sigmoid_slice(xs) };
         return;
     }
@@ -276,14 +309,15 @@ pub fn sigmoid_slice(xs: &mut [f32]) {
 }
 
 /// In-place tanh over a slice using [`fast_tanh`], 8-wide under AVX2
-/// where available.
+/// where available; every element is bit-identical to [`fast_tanh`]
+/// either way.
 pub fn tanh_slice(xs: &mut [f32]) {
     let _k = telemetry::kernel_span("nn.tanh");
     #[cfg(target_arch = "x86_64")]
     if x86::avx2_fma_available() {
         // SAFETY: AVX2+FMA support was verified by the runtime probe on
-        // the line above — the only precondition; the body is safe slice
-        // iteration with no pointer arithmetic.
+        // the line above — the only precondition; the kernel's loads and
+        // stores stay inside `xs` by construction.
         unsafe { x86::tanh_slice(xs) };
         return;
     }
@@ -311,9 +345,12 @@ pub fn activate(xs: &mut [f32], act: Activation) {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::{
-        __m256, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
+        __m256, _mm256_add_epi32, _mm256_add_ps, _mm256_castsi256_ps, _mm256_cvttps_epi32,
+        _mm256_div_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps,
+        _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps, _mm256_slli_epi32,
+        _mm256_storeu_ps, _mm256_sub_ps, _mm256_xor_ps,
     };
+    use std::f32::consts::LOG2_E;
 
     /// Whether this CPU has AVX2 and FMA (`std` caches the CPUID probe).
     ///
@@ -331,8 +368,8 @@ mod x86 {
     /// Register-tiled matmul microkernel: 64 output columns live in
     /// eight YMM accumulators across the whole `k` loop, so the only
     /// streaming traffic is the weight matrix itself. Per-element
-    /// accumulation order equals the scalar kernel's; only FMA
-    /// contraction differs.
+    /// accumulation order equals the scalar kernel's, zero left-hand
+    /// entries are skipped the same way; only FMA contraction differs.
     ///
     /// # Safety
     /// The CPU must support AVX2 and FMA (callers check
@@ -360,6 +397,9 @@ mod x86 {
             while j + 64 <= n {
                 let mut acc: [__m256; 8] = [_mm256_setzero_ps(); 8];
                 for (kk, &av) in a_row.iter().enumerate() {
+                    if av == 0.0 {
+                        continue;
+                    }
                     let avv = _mm256_set1_ps(av);
                     let brow = bp.add(kk * n + j);
                     for (l, slot) in acc.iter_mut().enumerate() {
@@ -374,6 +414,9 @@ mod x86 {
             while j + 8 <= n {
                 let mut acc = _mm256_setzero_ps();
                 for (kk, &av) in a_row.iter().enumerate() {
+                    if av == 0.0 {
+                        continue;
+                    }
                     acc = _mm256_fmadd_ps(
                         _mm256_set1_ps(av),
                         _mm256_loadu_ps(bp.add(kk * n + j)),
@@ -386,6 +429,9 @@ mod x86 {
             while j < n {
                 let mut acc = 0.0f32;
                 for (kk, &av) in a_row.iter().enumerate() {
+                    if av == 0.0 {
+                        continue;
+                    }
                     acc = av.mul_add(*bp.add(kk * n + j), acc);
                 }
                 *o.add(j) = acc;
@@ -394,32 +440,85 @@ mod x86 {
         }
     }
 
+    /// Eight lanes of [`super::fast_exp`], op for op: the same clamp,
+    /// products and sums in the same order, each rounded on its own (no
+    /// fused multiply-add), so every lane is bit-identical to the scalar
+    /// function. `max(lo, x)` then `min(hi, ·)` return `x` itself when
+    /// it is NaN, as `f32::clamp` does.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 (callers check [`avx2_fma_available`]
+    /// first); register arithmetic only, no memory access.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn fast_exp8(x: __m256) -> __m256 {
+        use super::{EXP_CLAMP, EXP_POLY, EXP_RND, LN2_HI, LN2_LO};
+        let c = _mm256_set1_ps;
+        let x = _mm256_min_ps(c(EXP_CLAMP), _mm256_max_ps(c(-EXP_CLAMP), x));
+        let n = _mm256_sub_ps(_mm256_add_ps(_mm256_mul_ps(x, c(LOG2_E)), c(EXP_RND)), c(EXP_RND));
+        let f = _mm256_sub_ps(
+            _mm256_sub_ps(x, _mm256_mul_ps(n, c(LN2_HI))),
+            _mm256_mul_ps(n, c(LN2_LO)),
+        );
+        let [c0, rest @ ..] = EXP_POLY;
+        let mut p = c(c0);
+        for coeff in rest {
+            p = _mm256_add_ps(_mm256_mul_ps(p, f), c(coeff));
+        }
+        let r = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(p, f), f), f), c(1.0));
+        // `n` is a whole number in [-126, 126] (or NaN, when `r` is NaN
+        // and the scale cannot matter), so truncation is exact.
+        let biased = _mm256_add_epi32(_mm256_cvttps_epi32(n), _mm256_set1_epi32(127));
+        _mm256_mul_ps(r, _mm256_castsi256_ps(_mm256_slli_epi32::<23>(biased)))
+    }
+
+    /// In-place [`super::fast_sigmoid`]: `1 / (1 + exp(-x))` eight lanes
+    /// at a time, the scalar function on the tail.
+    ///
     /// # Safety
     /// The CPU must support AVX2+FMA (callers check
-    /// [`avx2_fma_available`] first) — the only precondition. The body
-    /// is the scalar loop over a safe slice (no raw pointers, so no
-    /// length or alignment obligations); compiling it with these
-    /// features lets LLVM vectorise `fast_sigmoid` 8-wide.
+    /// [`avx2_fma_available`] first). Each load and store covers one
+    /// `chunks_exact_mut(8)` chunk, exactly eight in-bounds floats, and
+    /// is unaligned (`loadu`/`storeu`), so no alignment is required.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn sigmoid_slice(xs: &mut [f32]) {
-        for x in xs.iter_mut() {
+        let one = _mm256_set1_ps(1.0);
+        let sign = _mm256_set1_ps(-0.0);
+        let mut chunks = xs.chunks_exact_mut(8);
+        for chunk in &mut chunks {
+            let p = chunk.as_mut_ptr();
+            let e = fast_exp8(_mm256_xor_ps(_mm256_loadu_ps(p), sign));
+            _mm256_storeu_ps(p, _mm256_div_ps(one, _mm256_add_ps(one, e)));
+        }
+        for x in chunks.into_remainder() {
             *x = super::fast_sigmoid(*x);
         }
     }
 
+    /// In-place [`super::fast_tanh`]: `(e - 1) / (e + 1)` with
+    /// `e = exp(2x)`, eight lanes at a time, the scalar function on the
+    /// tail.
+    ///
     /// # Safety
-    /// The CPU must support AVX2+FMA (see [`sigmoid_slice`]); no other
-    /// preconditions — safe slice iteration only.
+    /// As for [`sigmoid_slice`].
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn tanh_slice(xs: &mut [f32]) {
-        for x in xs.iter_mut() {
+        let one = _mm256_set1_ps(1.0);
+        let two = _mm256_set1_ps(2.0);
+        let mut chunks = xs.chunks_exact_mut(8);
+        for chunk in &mut chunks {
+            let p = chunk.as_mut_ptr();
+            let e = fast_exp8(_mm256_mul_ps(two, _mm256_loadu_ps(p)));
+            _mm256_storeu_ps(p, _mm256_div_ps(_mm256_sub_ps(e, one), _mm256_add_ps(e, one)));
+        }
+        for x in chunks.into_remainder() {
             *x = super::fast_tanh(*x);
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::tensor::Tensor;
     use rand::rngs::StdRng;
@@ -516,11 +615,129 @@ mod tests {
         let mut t = xs.clone();
         tanh_slice(&mut t);
         for (i, &x) in xs.iter().enumerate() {
-            assert!((s[i] - fast_sigmoid(x)).abs() <= 1e-6);
-            assert!((t[i] - fast_tanh(x)).abs() <= 1e-6);
+            assert_eq!(s[i].to_bits(), fast_sigmoid(x).to_bits(), "sigmoid({x})");
+            assert_eq!(t[i].to_bits(), fast_tanh(x).to_bits(), "tanh({x})");
         }
         let mut a = xs.clone();
         activate(&mut a, Activation::Sigmoid);
         assert_eq!(a, s);
+    }
+
+    #[test]
+    fn slice_activations_are_bit_identical_on_edge_inputs() {
+        // Saturation bounds, infinities and NaN rotate through every lane
+        // of the 8-wide block and the scalar tail, for every length that
+        // has a tail, a full block, or both.
+        let pool = [
+            0.0,
+            -0.0,
+            87.0,
+            -87.0,
+            87.5,
+            -87.5,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            1e-30,
+            -3.25,
+            0.693_359_4,
+            f32::MAX,
+            f32::MIN_POSITIVE,
+        ];
+        for len in 0..=17 {
+            for shift in 0..pool.len() {
+                let xs: Vec<f32> = (0..len).map(|i| pool[(i + shift) % pool.len()]).collect();
+                let mut s = xs.clone();
+                sigmoid_slice(&mut s);
+                let mut t = xs.clone();
+                tanh_slice(&mut t);
+                for (i, &x) in xs.iter().enumerate() {
+                    assert_eq!(s[i].to_bits(), fast_sigmoid(x).to_bits(), "sigmoid({x}) len {len}");
+                    assert_eq!(t[i].to_bits(), fast_tanh(x).to_bits(), "tanh({x}) len {len}");
+                }
+            }
+        }
+        assert!(fast_sigmoid(f32::NAN).is_nan() && fast_tanh(f32::NAN).is_nan());
+    }
+
+    /// The dense sum the kernels computed before zero-skipping: every
+    /// `a * b` term added in `k` order, fused exactly when the dispatched
+    /// kernel fuses.
+    fn dense_reference(
+        a: &[f32],
+        m: usize,
+        k: usize,
+        b: &[f32],
+        n: usize,
+        fused: bool,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for kk in 0..k {
+                    let (av, bv) = (a[i * k + kk], b[kk * n + j]);
+                    acc = if fused {
+                        av.mul_add(bv, acc)
+                    } else {
+                        acc + av * bv
+                    };
+                }
+                out[i * n + j] = acc;
+            }
+        }
+        out
+    }
+
+    /// Whether the dispatched kernels use fused multiply-adds here.
+    pub(super) fn kernels_fuse() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return x86::avx2_fma_available();
+        #[cfg(not(target_arch = "x86_64"))]
+        false
+    }
+
+    /// A sparse left-hand side: ~60% zeros of both signs, one all-zero
+    /// row, one all-`−0.0` row, ~10% tiny non-zeros that must not be
+    /// skipped, the rest uniform in ±2.
+    pub(super) fn sparse_lhs(rng: &mut StdRng, m: usize, k: usize) -> Vec<f32> {
+        let mut a: Vec<f32> = (0..m * k)
+            .map(|_| match rng.gen_range(0..10) {
+                0..=2 => 0.0,
+                3..=5 => -0.0,
+                6 => rng.gen_range(-1e-3..1e-3),
+                _ => rng.gen_range(-2.0..2.0),
+            })
+            .collect();
+        if m >= 2 {
+            a[..k].fill(0.0);
+            a[k..2 * k].fill(-0.0);
+        }
+        a
+    }
+
+    /// 64-wide tiles, 8-wide tiles, scalar tails, `k = 1` and a single
+    /// output, plus the LSTM input shape.
+    pub(super) const AWKWARD_SHAPES: [(usize, usize, usize); 6] =
+        [(1, 94, 256), (5, 67, 139), (3, 1, 9), (2, 13, 7), (1, 1, 1), (4, 33, 72)];
+
+    #[test]
+    fn zero_skipping_matmul_is_bit_identical_to_dense() {
+        let mut rng = StdRng::seed_from_u64(53);
+        for (m, k, n) in AWKWARD_SHAPES {
+            let a = sparse_lhs(&mut rng, m, k);
+            let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+            let mut got = vec![f32::NAN; m * n];
+            matmul_into(&a, m, k, &b, n, &mut got);
+            let want = dense_reference(&a, m, k, &b, n, kernels_fuse());
+            let mut scalar = vec![f32::NAN; m * n];
+            matmul_into_scalar(&a, m, k, &b, n, &mut scalar);
+            let scalar_want = dense_reference(&a, m, k, &b, n, false);
+            for idx in 0..m * n {
+                assert_eq!(got[idx].to_bits(), want[idx].to_bits(), "{m}x{k}x{n} elem {idx}");
+                assert_eq!(scalar[idx].to_bits(), scalar_want[idx].to_bits(), "scalar elem {idx}");
+            }
+        }
     }
 }

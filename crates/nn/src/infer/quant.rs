@@ -102,7 +102,9 @@ impl QuantizedMatrix {
 /// The per-row scale is folded into the broadcast left-hand scalar, so
 /// each output element accumulates `(a[i][kk] * scale[kk]) * q[kk][j]`
 /// over `kk` in the same order as [`crate::infer::matmul_into`]; on CPUs
-/// with AVX2+FMA the contraction is fused exactly like the f32 kernel.
+/// with AVX2+FMA the contraction is fused exactly like the f32 kernel,
+/// and zero entries of `a` are skipped under the same argument (exact
+/// for finite weights; see [`crate::infer::matmul_into`]).
 /// `out` must have length `m * n`; it is overwritten.
 ///
 /// # Panics
@@ -130,7 +132,8 @@ pub fn matmul_q8_into(a: &[f32], m: usize, k: usize, b: &QuantizedMatrix, out: &
 }
 
 /// Portable i-k-j kernel, accumulating exactly like the scalar f32 path
-/// with the row scale folded into the broadcast scalar.
+/// (zero left-hand entries skipped) with the row scale folded into the
+/// broadcast scalar.
 fn matmul_q8_scalar(
     a: &[f32],
     m: usize,
@@ -148,6 +151,9 @@ fn matmul_q8_scalar(
         let a_row = &a[i * k..(i + 1) * k];
         let o_row = &mut out[i * n..(i + 1) * n];
         for (kk, &av) in a_row.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
             let avs = av * scales[kk];
             let b_row = &bq[kk * n..(kk + 1) * n];
             for (o, &bv) in o_row.iter_mut().zip(b_row.iter()) {
@@ -219,6 +225,10 @@ mod x86 {
             while j + 64 <= n {
                 let mut acc: [__m256; 8] = [_mm256_setzero_ps(); 8];
                 for (kk, &av) in a_row.iter().enumerate() {
+                    if av == 0.0 {
+                        continue;
+                    }
+                    // PANIC-FREE: kk < k = scales.len(), asserted above.
                     let avv = _mm256_set1_ps(av * scales[kk]);
                     let brow = bp.add(kk * n + j);
                     for (l, slot) in acc.iter_mut().enumerate() {
@@ -233,6 +243,9 @@ mod x86 {
             while j + 8 <= n {
                 let mut acc = _mm256_setzero_ps();
                 for (kk, &av) in a_row.iter().enumerate() {
+                    if av == 0.0 {
+                        continue;
+                    }
                     // PANIC-FREE: kk < k = scales.len(), asserted above.
                     let avv = _mm256_set1_ps(av * scales[kk]);
                     acc = _mm256_fmadd_ps(avv, load8_i8_as_f32(bp.add(kk * n + j)), acc);
@@ -243,6 +256,9 @@ mod x86 {
             while j < n {
                 let mut acc = 0.0f32;
                 for (kk, &av) in a_row.iter().enumerate() {
+                    if av == 0.0 {
+                        continue;
+                    }
                     // PANIC-FREE: kk < k = scales.len(), asserted above.
                     acc = (av * scales[kk]).mul_add(*bp.add(kk * n + j) as f32, acc);
                 }
@@ -360,6 +376,50 @@ mod tests {
         matmul_q8_scalar(&a, m, k, qm.codes(), qm.scales(), n, &mut scalar);
         for (i, (&g, &w)) in dispatched.iter().zip(scalar.iter()).enumerate() {
             assert!((g - w).abs() <= 1e-5 * w.abs().max(1.0), "elem {i}: simd {g}, scalar {w}");
+        }
+    }
+
+    #[test]
+    fn zero_skipping_q8_matmul_is_bit_identical_to_dense() {
+        use crate::infer::tests::{kernels_fuse, sparse_lhs, AWKWARD_SHAPES};
+        // The dense sum before zero-skipping: every folded
+        // `(a * scale) * code` term in `k` order, fused exactly when the
+        // dispatched kernel fuses.
+        let dense = |a: &[f32], m: usize, k: usize, qm: &QuantizedMatrix, fused: bool| {
+            let n = qm.cols();
+            let mut out = vec![0.0f32; m * n];
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for kk in 0..k {
+                        let avs = a[i * k + kk] * qm.scales()[kk];
+                        let code = qm.codes()[kk * n + j] as f32;
+                        acc = if fused {
+                            avs.mul_add(code, acc)
+                        } else {
+                            acc + avs * code
+                        };
+                    }
+                    out[i * n + j] = acc;
+                }
+            }
+            out
+        };
+        let mut rng = StdRng::seed_from_u64(59);
+        for (m, k, n) in AWKWARD_SHAPES {
+            let a = sparse_lhs(&mut rng, m, k);
+            let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+            let qm = QuantizedMatrix::quantize(&b, k, n);
+            let mut got = vec![f32::NAN; m * n];
+            matmul_q8_into(&a, m, k, &qm, &mut got);
+            let want = dense(&a, m, k, &qm, kernels_fuse());
+            let mut scalar = vec![f32::NAN; m * n];
+            matmul_q8_scalar(&a, m, k, qm.codes(), qm.scales(), n, &mut scalar);
+            let scalar_want = dense(&a, m, k, &qm, false);
+            for idx in 0..m * n {
+                assert_eq!(got[idx].to_bits(), want[idx].to_bits(), "{m}x{k}x{n} elem {idx}");
+                assert_eq!(scalar[idx].to_bits(), scalar_want[idx].to_bits(), "scalar elem {idx}");
+            }
         }
     }
 
